@@ -24,7 +24,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/bench"
@@ -49,7 +48,6 @@ type config struct {
 	scale   int
 	seed    int64
 	workers int
-	shards  []int
 }
 
 func parseFlags(argv []string) (config, error) {
@@ -65,7 +63,6 @@ func parseFlags(argv []string) (config, error) {
 		scale   = fs.Int("scale", 0, "dataset scale override (0 = suite default)")
 		seed    = fs.Int64("seed", 0, "workload seed override (0 = profile default)")
 		workers = fs.Int("workers", 0, "worker-pool size override (0 = profile default)")
-		shards  = fs.String("shards", "", "comma-separated engine shard counts to sweep, e.g. 1,4 (inproc only; default 1)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return config{}, err
@@ -95,23 +92,6 @@ func parseFlags(argv []string) (config, error) {
 	}
 	if len(cfg.modes) == 0 {
 		cfg.modes = bench.Modes()
-	}
-	for _, s := range splitList(*shards) {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			return config{}, fmt.Errorf("-shards entries must be positive integers, got %q", s)
-		}
-		cfg.shards = append(cfg.shards, n)
-	}
-	if len(cfg.shards) == 0 {
-		cfg.shards = []int{1}
-	}
-	if cfg.target != "inproc" {
-		for _, n := range cfg.shards {
-			if n != 1 {
-				return config{}, fmt.Errorf("-shards sweeps only the in-process engine; the remote server picks its own count (kwsd -shards)")
-			}
-		}
 	}
 	return cfg, nil
 }
@@ -162,35 +142,31 @@ func run(ctx context.Context, argv []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		for _, shards := range cfg.shards {
-			target, err := openTarget(cfg.target, sc, shards)
-			if err != nil {
-				return err
-			}
-			for _, mode := range cfg.modes {
-				fmt.Fprintf(os.Stderr, "kws-bench: %s/%s against %s (shards=%d)...\n", name, mode, target.Kind(), shards)
-				res, err := bench.Run(ctx, target, sc, mode, profile)
-				if err != nil {
-					target.Close()
-					return fmt.Errorf("suite %s mode %s shards %d: %w", name, mode, shards, err)
-				}
-				res.Shards = shards
-				results = append(results, res)
-			}
-			target.Close()
+		target, err := openTarget(cfg.target, sc)
+		if err != nil {
+			return err
 		}
+		for _, mode := range cfg.modes {
+			fmt.Fprintf(os.Stderr, "kws-bench: %s/%s against %s...\n", name, mode, target.Kind())
+			res, err := bench.Run(ctx, target, sc, mode, profile)
+			if err != nil {
+				target.Close()
+				return fmt.Errorf("suite %s mode %s: %w", name, mode, err)
+			}
+			results = append(results, res)
+		}
+		target.Close()
 	}
 
 	report := bench.NewReport(echoConfig(cfg, profile, names), results)
 	return writeReport(stdout, cfg.out, report)
 }
 
-// openTarget builds the target for one suite: the in-process engine path
-// (at the requested shard count), or a remote kwsd that must serve the
-// suite's database (Scenario.ServerDB).
-func openTarget(spec string, sc bench.Scenario, shards int) (bench.Target, error) {
+// openTarget builds the target for one suite: the in-process engine path, or
+// a remote kwsd that must serve the suite's database (Scenario.ServerDB).
+func openTarget(spec string, sc bench.Scenario) (bench.Target, error) {
 	if spec == "inproc" {
-		return bench.NewShardedEngineTarget(sc, shards)
+		return bench.NewEngineTarget(sc)
 	}
 	if !strings.HasPrefix(spec, "http://") && !strings.HasPrefix(spec, "https://") {
 		return nil, fmt.Errorf("target must be \"inproc\" or an http(s) URL, got %q", spec)
@@ -212,13 +188,6 @@ func echoConfig(cfg config, p bench.Profile, suites []string) bench.ConfigEcho {
 		scale = bench.SuiteOptions{}.WithDefaults().Scale
 	}
 	sort.Strings(suites)
-	var shards []int
-	for _, n := range cfg.shards {
-		if n > 1 {
-			shards = append([]int(nil), cfg.shards...)
-			break
-		}
-	}
 	return bench.ConfigEcho{
 		Profile:         p.Name,
 		Target:          targetKind,
@@ -233,7 +202,6 @@ func echoConfig(cfg config, p bench.Profile, suites []string) bench.ConfigEcho {
 		DurationSeconds: p.Duration.Seconds(),
 		BatchSize:       p.BatchSize,
 		MutateEvery:     p.MutateEvery,
-		Shards:          shards,
 	}
 }
 

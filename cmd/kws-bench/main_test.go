@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,85 +46,15 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
-func TestParseShardsFlag(t *testing.T) {
-	cfg, err := parseFlags([]string{"-shards", "1, 4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.shards) != 2 || cfg.shards[0] != 1 || cfg.shards[1] != 4 {
-		t.Errorf("shards = %v, want [1 4]", cfg.shards)
-	}
-	cfg, err = parseFlags(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.shards) != 1 || cfg.shards[0] != 1 {
-		t.Errorf("default shards = %v, want [1]", cfg.shards)
-	}
-	if _, err := parseFlags([]string{"-shards", "0"}); err == nil {
-		t.Error("-shards 0 accepted")
-	}
-	if _, err := parseFlags([]string{"-shards", "two"}); err == nil {
-		t.Error("non-numeric -shards accepted")
-	}
-	// A remote server picks its own shard count; sweeping against it is
-	// rejected rather than silently measuring the wrong thing.
-	if _, err := parseFlags([]string{"-target", "http://localhost:1", "-shards", "1,4"}); err == nil {
-		t.Error("-shards sweep accepted against a remote target")
-	}
-	if _, err := parseFlags([]string{"-target", "http://localhost:1", "-shards", "1"}); err != nil {
-		t.Errorf("-shards 1 rejected against a remote target: %v", err)
-	}
-}
-
-// TestShardedReportRoundTrip runs the smallest real sweep in process and
-// checks the report: one row per (mode, shard count), the sharded rows
-// labelled, and the config echoing the sweep.
-func TestShardedReportRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real bench sweep")
-	}
-	out := filepath.Join(t.TempDir(), "report.json")
-	err := run(t.Context(), []string{
-		"-profile", "smoke", "-suites", "bibliography", "-modes", "read",
-		"-shards", "1,2", "-out", out,
-	}, os.Stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	report, err := bench.ReadReport(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Suites) != 2 {
-		t.Fatalf("report has %d rows, want 2: %+v", len(report.Suites), report.Suites)
-	}
-	counts := map[int]bool{}
-	for _, row := range report.Suites {
-		counts[row.Shards] = true
-	}
-	if !counts[1] || !counts[2] {
-		t.Errorf("rows cover shard counts %v, want 1 and 2", counts)
-	}
-	if len(report.Config.Shards) != 2 {
-		t.Errorf("config echo shards = %v, want [1 2]", report.Config.Shards)
-	}
-}
-
 func TestOpenTargetRejectsBadSpec(t *testing.T) {
 	sc, err := bench.Build("bibliography", bench.SuiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openTarget("localhost:8080", sc, 1); err == nil {
+	if _, err := openTarget("localhost:8080", sc); err == nil {
 		t.Error("scheme-less target accepted")
 	}
-	target, err := openTarget("inproc", sc, 1)
+	target, err := openTarget("inproc", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,5 +152,24 @@ func TestRunRejectsUnknownInputs(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-suites", "bogus"}, os.Stderr); err == nil {
 		t.Error("unknown suite accepted")
+	}
+}
+
+// TestCommittedReportsCheck runs -check over every BENCH_*.json committed at
+// the repository root, so the recorded perf trajectory stays readable by the
+// current report schema. BENCH_8.json holds rows at two engine shard counts,
+// which the decode-only Shards fields keep distinct.
+func TestCommittedReportsCheck(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_*.json found")
+	}
+	for _, p := range paths {
+		if err := run(t.Context(), []string{"-check", p}, io.Discard); err != nil {
+			t.Errorf("-check %s: %v", filepath.Base(p), err)
+		}
 	}
 }

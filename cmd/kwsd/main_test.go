@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/store"
 )
 
 func TestBuildEngine(t *testing.T) {
@@ -44,7 +48,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, "127.0.0.1:0", "paper", 1, 1, 1, 1, "", 0, httpapi.Options{}, ready)
+		done <- run(ctx, "127.0.0.1:0", "paper", 1, 1, 1, "", 0, httpapi.Options{}, ready)
 	}()
 	var base string
 	select {
@@ -132,7 +136,7 @@ func TestRunPersistsAcrossRestart(t *testing.T) {
 		ready := make(chan string, 1)
 		done := make(chan error, 1)
 		go func() {
-			done <- run(ctx, "127.0.0.1:0", "paper", 1, 1, 1, 1, dataDir, 0, httpapi.Options{}, ready)
+			done <- run(ctx, "127.0.0.1:0", "paper", 1, 1, 1, dataDir, 0, httpapi.Options{}, ready)
 		}()
 		select {
 		case addr := <-ready:
@@ -217,105 +221,40 @@ func TestRunPersistsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestRunShardedPersistsAcrossRestart is the sharded analogue: a durable
-// -shards 2 server mutates, restarts over the same directory, and recovers
-// the same generation vector with byte-identical search output.
-func TestRunShardedPersistsAcrossRestart(t *testing.T) {
-	const shards = 2
+// TestRunRefusesShardedDataDir checks that a data directory written by the
+// removed -shards mode fails the boot with an error naming the layout,
+// instead of booting an empty store beside it and serving the seed.
+func TestRunRefusesShardedDataDir(t *testing.T) {
 	dataDir := t.TempDir()
-	boot := func() (base string, shutdown func()) {
-		t.Helper()
-		ctx, cancel := context.WithCancel(context.Background())
-		ready := make(chan string, 1)
-		done := make(chan error, 1)
-		go func() {
-			done <- run(ctx, "127.0.0.1:0", "paper", 1, 1, 1, shards, dataDir, 0, httpapi.Options{}, ready)
-		}()
-		select {
-		case addr := <-ready:
-			base = "http://" + addr
-		case err := <-done:
-			t.Fatalf("run exited before listening: %v", err)
-		case <-time.After(30 * time.Second):
-			t.Fatal("server never became ready")
-		}
-		return base, func() {
-			cancel()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatalf("run returned %v on shutdown", err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("server did not shut down")
-			}
-		}
-	}
-	search := func(base string) httpapi.SearchResponse {
-		t.Helper()
-		body, _ := json.Marshal(httpapi.SearchRequest{Query: &httpapi.QueryRequest{
-			Keywords: []string{"Smith", "XML"}, MaxJoins: 3,
-		}})
-		resp, err := http.Post(base+"/v1/search", "application/json", bytes.NewReader(body))
-		if err != nil {
+	for _, rel := range []string{"meta/vector.log", "shard-0/wal.log", "shard-1/wal.log"} {
+		p := filepath.Join(dataDir, rel)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		var sr httpapi.SearchResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		if err := os.WriteFile(p, []byte("acknowledged records"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return sr
 	}
-	stats := func(base string) httpapi.StatsResponse {
-		t.Helper()
-		resp, err := http.Get(base + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, "127.0.0.1:0", "paper", 1, 1, 1, dataDir, 0, httpapi.Options{}, ready)
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, store.ErrShardedLayout) {
+			t.Fatalf("run = %v, want ErrShardedLayout", err)
 		}
-		defer resp.Body.Close()
-		var sr httpapi.StatsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-			t.Fatal(err)
-		}
-		return sr
+	case addr := <-ready:
+		cancel()
+		<-done
+		t.Fatalf("server listened on %s over a sharded data dir", addr)
+	case <-time.After(30 * time.Second):
+		t.Fatal("run neither failed nor listened")
 	}
-
-	base, shutdown := boot()
-	mutateBody, _ := json.Marshal(httpapi.MutateRequest{Ops: []httpapi.Op{{
-		Op: "delete", Table: "DEPENDENT", Key: map[string]any{"ID": "t2"},
-	}}})
-	resp, err := http.Post(base+"/v1/mutate", "application/json", bytes.NewReader(mutateBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("mutate status = %d", resp.StatusCode)
-	}
-	before := search(base)
-	if before.Generation != 1 {
-		t.Fatalf("generation before restart = %d, want 1", before.Generation)
-	}
-	beforeStats := stats(base)
-	if len(beforeStats.Shards) != shards || len(beforeStats.GenerationVector) != shards {
-		t.Fatalf("sharded server reports %d shard blocks, vector %v; want %d",
-			len(beforeStats.Shards), beforeStats.GenerationVector, shards)
-	}
-	shutdown()
-
-	base2, shutdown2 := boot()
-	defer shutdown2()
-	after := search(base2)
-	if after.Generation != 1 {
-		t.Fatalf("generation after restart = %d, want 1", after.Generation)
-	}
-	if !reflect.DeepEqual(after.Results, before.Results) {
-		t.Fatalf("search results changed across restart:\nbefore: %+v\nafter:  %+v", before.Results, after.Results)
-	}
-	afterStats := stats(base2)
-	if !reflect.DeepEqual(afterStats.GenerationVector, beforeStats.GenerationVector) {
-		t.Fatalf("generation vector changed across restart: %v -> %v",
-			beforeStats.GenerationVector, afterStats.GenerationVector)
+	if _, err := os.Stat(filepath.Join(dataDir, "wal.log")); !os.IsNotExist(err) {
+		t.Fatalf("boot created wal.log beside the sharded layout (stat: %v)", err)
 	}
 }

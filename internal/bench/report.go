@@ -47,8 +47,9 @@ type ConfigEcho struct {
 	DurationSeconds float64  `json:"duration_seconds"`
 	BatchSize       int      `json:"batch_size"`
 	MutateEvery     int      `json:"mutate_every"`
-	// Shards lists the swept engine shard counts (kws-bench -shards);
-	// omitted when only the plain unsharded engine ran.
+	// Shards is decode-only history: reports committed while kws-bench
+	// could sweep in-process shard counts echo the swept counts here.
+	// Nothing writes it any more.
 	Shards []int `json:"shards,omitempty"`
 }
 
@@ -71,10 +72,7 @@ func NewReport(cfg ConfigEcho, results []SuiteResult) Report {
 		if sorted[i].Suite != sorted[j].Suite {
 			return sorted[i].Suite < sorted[j].Suite
 		}
-		if sorted[i].Mode != sorted[j].Mode {
-			return sorted[i].Mode < sorted[j].Mode
-		}
-		return sorted[i].Shards < sorted[j].Shards
+		return sorted[i].Mode < sorted[j].Mode
 	})
 	return Report{
 		Schema: ReportSchema,
@@ -113,6 +111,8 @@ func (r Report) Validate() error {
 		if s.Suite == "" || s.Mode == "" {
 			return fmt.Errorf("bench: suite row %d lacks suite or mode", i)
 		}
+		// Historical sharded reports hold one row per shard count, so the
+		// shard count stays part of a row's identity.
 		key := fmt.Sprintf("%s/%s/%s/%d", s.Suite, s.Mode, s.Target, s.Shards)
 		if seen[key] {
 			return fmt.Errorf("bench: duplicate suite row %s", key)

@@ -28,8 +28,9 @@ type SuiteResult struct {
 	Suite  string `json:"suite"`
 	Mode   string `json:"mode"`
 	Target string `json:"target"`
-	// Shards is the engine's shard count for in-process sharded rows;
-	// 0 or 1 both mean the plain unsharded engine.
+	// Shards is decode-only history: the in-process engine's shard count
+	// in rows of reports committed while kws-bench could sweep it (0 or 1
+	// meant the plain engine). Nothing writes it any more.
 	Shards int `json:"shards,omitempty"`
 	// Ops counts measured operations; a batch operation carries
 	// QueriesPerOp queries.

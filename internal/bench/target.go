@@ -63,13 +63,6 @@ type EngineTarget struct {
 // NewEngineTarget builds the scenario's dataset and wraps it in an engine
 // and result cache.
 func NewEngineTarget(sc Scenario) (*EngineTarget, error) {
-	return NewShardedEngineTarget(sc, 1)
-}
-
-// NewShardedEngineTarget is NewEngineTarget with a shard count: shards > 1
-// builds the scatter-gather engine (kws.WithShards), 1 the plain one — the
-// kws-bench -shards sweep measures the cost of sharding on one dataset.
-func NewShardedEngineTarget(sc Scenario, shards int) (*EngineTarget, error) {
 	if sc.Open == nil {
 		return nil, fmt.Errorf("bench: scenario %q has no dataset builder", sc.Name)
 	}
@@ -80,9 +73,6 @@ func NewShardedEngineTarget(sc Scenario, shards int) (*EngineTarget, error) {
 	var opts []kws.Option
 	if labeler != nil {
 		opts = append(opts, kws.WithLabeler(labeler))
-	}
-	if shards > 1 {
-		opts = append(opts, kws.WithShards(shards))
 	}
 	engine, err := kws.New(db, opts...)
 	if err != nil {

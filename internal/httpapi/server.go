@@ -24,10 +24,9 @@ type Options struct {
 	// exceeding it is cancelled and answered with 504. Zero or negative
 	// means 10s.
 	Timeout time.Duration
-	// CacheBytes and CacheShards size the result cache (see
-	// kws.CacheOptions); zero values pick the cache defaults.
-	CacheBytes  int64
-	CacheShards int
+	// CacheBytes is the result cache budget (see kws.CacheOptions); zero
+	// picks the cache default.
+	CacheBytes int64
 }
 
 const (
@@ -69,7 +68,7 @@ func New(engine *kws.Engine, opts Options) *Server {
 	reg := metrics.NewRegistry()
 	return &Server{
 		engine:    engine,
-		cache:     kws.NewCache(engine, kws.CacheOptions{MaxBytes: opts.CacheBytes, Shards: opts.CacheShards}),
+		cache:     kws.NewCache(engine, kws.CacheOptions{MaxBytes: opts.CacheBytes}),
 		sem:       make(chan struct{}, opts.MaxInFlight),
 		timeout:   opts.Timeout,
 		start:     time.Now(),
@@ -358,30 +357,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			SnapshotErrors:         ps.SnapshotErrors,
 		}
 	}
-	// The shard blocks and the generation vector must describe ONE cut, so
-	// the vector is derived from the same ShardStats read instead of a
-	// second engine snapshot (a concurrent commit could land in between).
-	var shardBlocks []ShardStats
-	var vector []uint64
-	if ss, ok := s.engine.ShardStats(); ok {
-		shardBlocks = make([]ShardStats, len(ss))
-		vector = make([]uint64, len(ss))
-		for i, st := range ss {
-			vector[i] = st.Generation
-			shardBlocks[i] = ShardStats{
-				Shard:              st.Shard,
-				Generation:         st.Generation,
-				Tuples:             st.Tuples,
-				GraphEdges:         st.GraphEdges,
-				IndexTerms:         st.IndexTerms,
-				IndexDocs:          st.IndexDocs,
-				WALBytes:           st.WALBytes,
-				WALRecords:         st.WALRecords,
-				SnapshotGeneration: st.SnapshotGeneration,
-				SnapshotBytes:      st.SnapshotBytes,
-			}
-		}
-	}
 	s.writeJSON(w, http.StatusOK, StatsResponse{
 		Generation: s.engine.Generation(),
 		UptimeSecs: time.Since(s.start).Seconds(),
@@ -412,10 +387,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			GCPauseTotalMS: float64(snap.Gauges[metrics.GaugeGCPauseTotalNs]) / 1e6,
 			NumGC:          snap.Gauges[metrics.GaugeNumGC],
 		},
-		Latency:          latency,
-		Persistence:      persistence,
-		GenerationVector: vector,
-		Shards:           shardBlocks,
+		Latency:     latency,
+		Persistence: persistence,
 	})
 }
 

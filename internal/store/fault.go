@@ -43,11 +43,10 @@ const (
 // configuration concurrent with use — it is a test harness.
 //
 // With Sticky set, the first fired crash point kills the store: every later
-// write operation fails with ErrInjected, so no cleanup the caller attempts
-// (the sharded engine rolls back sibling-shard appends of an aborted batch)
-// can change the directory. The disk is then frozen in exactly the state a
-// process crash at the injection point would leave, which is what the
-// crash-recovery tests re-Open.
+// write operation fails with ErrInjected, so nothing the caller does after
+// the crash (a retried Apply, a checkpoint) can change the directory. The
+// disk is then frozen in exactly the state a process crash at the injection
+// point would leave.
 type FaultStore struct {
 	*FileStore
 	Point CrashPoint
@@ -55,8 +54,8 @@ type FaultStore struct {
 	// beyond the frame length write the whole frame (the crash then tore
 	// nothing, only the acknowledgment).
 	TornBytes int
-	// Sticky makes the first fired crash point fatal: all later Append,
-	// Snapshot and TruncateAfter calls fail with ErrInjected.
+	// Sticky makes the first fired crash point fatal: all later Append and
+	// Snapshot calls fail with ErrInjected.
 	Sticky bool
 
 	dead bool
@@ -124,13 +123,4 @@ func (f *FaultStore) Snapshot(gen uint64, db *relation.Database) error {
 		return f.kill()
 	}
 	return f.FileStore.Snapshot(gen, db)
-}
-
-// TruncateAfter fails on a dead store — the crash already happened, so the
-// rollback a live process would perform must not reach the directory.
-func (f *FaultStore) TruncateAfter(gen uint64) error {
-	if f.dead {
-		return ErrInjected
-	}
-	return f.FileStore.TruncateAfter(gen)
 }

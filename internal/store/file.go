@@ -47,8 +47,12 @@ type FileStore struct {
 // removes leftover temp files from interrupted snapshots, verifies the
 // snapshot checksum, and scans the WAL — truncating a torn tail, failing
 // with ErrCorrupt on mid-log corruption. After Open the store is ready for
-// Load + Replay (recovery) and Append (serving).
+// Load + Replay (recovery) and Append (serving). A directory holding the
+// sharded layout fails with ErrShardedLayout before anything in it changes.
 func Open(dir string) (*FileStore, error) {
+	if err := refuseShardedLayout(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -81,6 +85,21 @@ func Open(dir string) (*FileStore, error) {
 }
 
 func (s *FileStore) path(name string) string { return filepath.Join(s.dir, name) }
+
+// refuseShardedLayout fails with ErrShardedLayout when dir holds
+// meta/vector.log or a shard-<i> directory.
+func refuseShardedLayout(dir string) error {
+	if _, err := os.Stat(filepath.Join(dir, "meta", "vector.log")); err == nil {
+		return fmt.Errorf("%w: %s holds meta/vector.log", ErrShardedLayout, dir)
+	}
+	shards, _ := filepath.Glob(filepath.Join(dir, "shard-*")) // the pattern is well-formed
+	for _, p := range shards {
+		if fi, err := os.Stat(p); err == nil && fi.IsDir() {
+			return fmt.Errorf("%w: %s holds %s/", ErrShardedLayout, dir, filepath.Base(p))
+		}
+	}
+	return nil
+}
 
 // recoverWAL scans the log, truncates a torn tail, and primes the counters.
 // The scan distinguishes a torn tail (the failure reaches end of file — the
@@ -309,68 +328,6 @@ func (s *FileStore) truncateWAL(upTo uint64) error {
 	s.wal.Close()
 	s.wal = wal
 	s.walBytes, s.walRecords = int64(len(retained)), records
-	return nil
-}
-
-// TruncateAfter durably drops the WAL records with generation greater than
-// gen, leaving the log ending at gen (or empty, when nothing at or below gen
-// is logged). It exists for the sharded commit protocol: a batch that fails
-// on one shard after appending to others rolls those appends back, and
-// recovery discards per-shard records beyond the committed generation
-// vector — in both cases the dropped records were never acknowledged.
-// Truncating below the snapshot generation is refused: the snapshot already
-// covers those generations, so the request can only be a protocol bug.
-func (s *FileStore) TruncateAfter(gen uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.lastGen <= gen {
-		return nil
-	}
-	if s.snapGen > gen {
-		return fmt.Errorf("store: truncate after generation %d below snapshot %d", gen, s.snapGen)
-	}
-	data, err := os.ReadFile(s.path(walName))
-	if err != nil {
-		return fmt.Errorf("store: truncate after: %w", err)
-	}
-	if int64(len(data)) > s.walBytes {
-		data = data[:s.walBytes]
-	}
-	// Re-encode the retained prefix to find its byte length: the encoding is
-	// canonical, so the re-encoded frames are identical to the bytes on disk
-	// and an in-place truncate at that offset keeps exactly records <= gen.
-	var (
-		retained []byte
-		records  int64
-		lastKept uint64
-	)
-	if _, _, _, err := scanWAL(data, func(g uint64, m Mutation) error {
-		if g <= gen {
-			retained = appendFrame(retained, g, m)
-			records++
-			lastKept = g
-		}
-		return nil
-	}); err != nil {
-		return fmt.Errorf("store: truncate after: %w", err)
-	}
-	if err := s.wal.Truncate(int64(len(retained))); err != nil {
-		return fmt.Errorf("store: truncate after: %w", err)
-	}
-	if _, err := s.wal.Seek(int64(len(retained)), 0); err != nil {
-		return fmt.Errorf("store: truncate after: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: truncate after: %w", err)
-	}
-	s.walBytes, s.walRecords = int64(len(retained)), records
-	s.lastGen = s.snapGen
-	if records > 0 && lastKept > s.lastGen {
-		s.lastGen = lastKept
-	}
 	return nil
 }
 

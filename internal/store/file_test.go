@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -232,4 +233,81 @@ func TestOpenRemovesStaleTempFiles(t *testing.T) {
 			t.Fatalf("%s still present after Open", tmp)
 		}
 	}
+}
+
+// treeState maps every path under dir to its contents ("<dir>" for
+// directories), so a test can tell whether anything under dir changed.
+func treeState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	state := map[string]string{}
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, p)
+		if d.IsDir() {
+			state[rel] = "<dir>"
+			return nil
+		}
+		data, err := os.ReadFile(p)
+		state[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
+}
+
+// TestOpenRefusesShardedLayout builds the directory layout of the removed
+// sharded engine by hand and checks that Open refuses it, naming the
+// layout, without creating, truncating or removing anything in it.
+func TestOpenRefusesShardedLayout(t *testing.T) {
+	files := map[string]map[string]string{
+		"full": {
+			"meta/vector.log":     "vector records",
+			"shard-0/wal.log":     "shard 0 records",
+			snapTmpName:           "partial", // Open would remove it from a plain store
+			"shard-1/snapshot.db": "shard 1 snapshot",
+			"shard-1/wal.log":     "",
+		},
+		"vector log only": {"meta/vector.log": "vector records"},
+		"shard dir only":  {"shard-3/wal.log": "shard 3 records"},
+	}
+	for name, layout := range files {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for rel, data := range layout {
+				p := filepath.Join(dir, rel)
+				if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(p, []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := treeState(t, dir)
+			s, err := Open(dir)
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted a sharded layout")
+			}
+			if !errors.Is(err, ErrShardedLayout) {
+				t.Fatalf("Open error = %v, want ErrShardedLayout", err)
+			}
+			if after := treeState(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("Open changed the directory:\nbefore %v\nafter  %v", before, after)
+			}
+		})
+	}
+}
+
+// TestOpenIgnoresShardNamedFiles checks that only shard-<i> directories
+// mark the sharded layout: a plain file with that prefix is not refused.
+func TestOpenIgnoresShardNamedFiles(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "shard-notes"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustOpen(t, dir)
 }

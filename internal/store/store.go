@@ -80,12 +80,6 @@ type Store interface {
 	// Snapshot durably serializes the relational state of generation gen
 	// and truncates the WAL records it makes redundant (gen and below).
 	Snapshot(gen uint64, db *relation.Database) error
-	// TruncateAfter durably drops logged records with generation greater
-	// than gen. The dropped records must never have been acknowledged: the
-	// sharded commit protocol uses it to roll back per-shard appends of an
-	// aborted batch and to discard records beyond the committed generation
-	// vector during recovery.
-	TruncateAfter(gen uint64) error
 	// Load returns the latest durable snapshot and its generation, or
 	// (nil, 0, nil) when no snapshot exists.
 	Load() (*relation.Database, uint64, error)
@@ -104,3 +98,10 @@ var ErrCorrupt = errors.New("store: corrupt data")
 
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
+
+// ErrShardedLayout is returned by Open for a directory holding the
+// per-shard layout of earlier releases (meta/vector.log plus one shard-<i>
+// directory per shard). Its acknowledged generations live in those files,
+// which no Store reads, so opening the directory as a fresh store would
+// silently drop them.
+var ErrShardedLayout = errors.New("store: sharded layout (meta/vector.log, shard-<i>/) is no longer supported")

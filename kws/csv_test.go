@@ -58,11 +58,11 @@ func TestLoadCSVDirRoundTripWithDbgenFormat(t *testing.T) {
 		t.Errorf("loaded database invalid: %v", err)
 	}
 	// The loaded database answers the paper's query like the original.
-	engine, err := Open(db, Config{Ranking: RankCloseFirst, MaxJoins: 3})
+	engine, err := New(db, WithDefaults(Config{Ranking: RankCloseFirst, MaxJoins: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := engine.Search("Smith", "XML")
+	results, err := searchKeywords(engine, "Smith", "XML")
 	if err != nil {
 		t.Fatal(err)
 	}

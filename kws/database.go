@@ -27,8 +27,8 @@
 // finishes, with Engine.Stream (callback) or Engine.Results (iterator);
 // streamed results arrive unranked, in discovery order. Additional search
 // engines and ranking strategies plug in through RegisterEngine and
-// RegisterRanker. The deprecated Open / LegacyEngine.Search shim keeps the
-// batch, frozen-configuration API of earlier releases compiling.
+// RegisterRanker. Defaults for every query of an engine are set once with
+// WithDefaults, for example New(db, WithDefaults(Config{MaxJoins: 3})).
 //
 // # Concurrency and batching
 //

@@ -379,22 +379,26 @@ func TestApplyRefreshesAnalyzerBinding(t *testing.T) {
 	}
 }
 
+// TestLegacyEngineServesLiveGenerations checks that a search under the
+// engine's configured defaults reads the generation Apply published. (The
+// name dates from the removed kws.Open shim, whose engines were configured
+// only through such defaults.)
 func TestLegacyEngineServesLiveGenerations(t *testing.T) {
-	le, err := Open(PaperExample(), Config{Labeler: PaperLabeler()})
+	e, err := New(PaperExample(), WithDefaults(Config{Labeler: PaperLabeler()}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := le.Apply(context.Background(), Mutation{Ops: []Op{
+	if _, err := e.Apply(context.Background(), Mutation{Ops: []Op{
 		Insert("EMPLOYEE", map[string]any{"SSN": "e5", "L_NAME": "Turing", "S_NAME": "Alan", "D_ID": "d1"}),
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := le.Search("Turing")
+	res, err := searchKeywords(e, "Turing")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) == 0 {
-		t.Fatal("legacy Search does not see the applied mutation")
+		t.Fatal("Search does not see the applied mutation")
 	}
 }
 

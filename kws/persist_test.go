@@ -3,7 +3,12 @@ package kws
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/paperdb"
@@ -212,6 +217,119 @@ func TestEngineFaultMatrix(t *testing.T) {
 			requireEngineEquivalent(t, int(tc.wantGen), recovered, bm.rebuilt(t, tc.wantGen))
 		})
 	}
+}
+
+// TestShardedFaultMatrix builds, for every crash point and every shard, a
+// data directory a crash of the removed sharded engine could have left:
+// shard-<i>/ directories each holding a real WAL, one of them frozen at the
+// crash point (a torn tail, a durable but unacknowledged record). Open must
+// refuse each such directory, with and without the meta/vector.log commit
+// log beside the shards, and change nothing in it: recovering it instead
+// would serve an empty wal.log and drop every acknowledged generation.
+func TestShardedFaultMatrix(t *testing.T) {
+	const shards = 3
+	points := []struct {
+		name  string
+		point store.CrashPoint
+		torn  int
+	}{
+		{"pre-append", store.CrashPreAppend, 0},
+		{"torn-append-empty", store.CrashTornAppend, 0},
+		{"torn-append-header", store.CrashTornAppend, 5},
+		{"torn-append-payload", store.CrashTornAppend, 12},
+		{"post-append", store.CrashPostAppend, 0},
+	}
+	for _, tc := range points {
+		for target := 0; target < shards; target++ {
+			t.Run(fmt.Sprintf("%s/shard-%d", tc.name, target), func(t *testing.T) {
+				dir := t.TempDir()
+				ctx := context.Background()
+				for s := 0; s < shards; s++ {
+					fs := openStore(t, filepath.Join(dir, fmt.Sprintf("shard-%d", s)))
+					faulty := store.NewFaultStore(fs)
+					faulty.Sticky = true
+					live, err := New(&Database{db: paperdb.MustLoad()}, WithStore(faulty), WithSnapshotEvery(-1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					bm := newBatchMaker(int64(23 + s))
+					for b := 0; b < 2; b++ {
+						if _, err := live.Apply(ctx, bm.next(t)); err != nil {
+							t.Fatalf("shard %d batch %d: %v", s, b, err)
+						}
+					}
+					if s == target {
+						faulty.Point, faulty.TornBytes = tc.point, tc.torn
+						if _, err := live.Apply(ctx, bm.next(t)); !errors.Is(err, ErrPersistence) {
+							t.Fatalf("faulted Apply = %v, want ErrPersistence", err)
+						}
+						// The crash freezes the shard's directory: a later
+						// Apply must not reach it.
+						faulty.Point = store.CrashNone
+						if _, err := live.Apply(ctx, bm.next(t)); !errors.Is(err, ErrPersistence) || !faulty.Dead() {
+							t.Fatalf("Apply after the crash = %v, want ErrPersistence on a dead store", err)
+						}
+					}
+					fs.Close()
+				}
+				requireRefused(t, dir, "shard-")
+				// The commit log the sharded engine created at open, empty
+				// when the crash came before its first commit.
+				if err := os.MkdirAll(filepath.Join(dir, "meta"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, "meta", "vector.log"), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				requireRefused(t, dir, "meta/vector.log")
+			})
+		}
+	}
+}
+
+// requireRefused opens dir as a store and requires ErrShardedLayout with an
+// error naming want, and every file and directory under dir unchanged.
+func requireRefused(t *testing.T, dir, want string) {
+	t.Helper()
+	before := dirState(t, dir)
+	st, err := store.Open(dir)
+	if err == nil {
+		st.Close()
+		t.Fatal("store.Open accepted a sharded layout")
+	}
+	if !errors.Is(err, store.ErrShardedLayout) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("store.Open = %v, want ErrShardedLayout naming %q", err, want)
+	}
+	if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("store.Open changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// dirState maps every path under dir to its contents; directories map to
+// "/".
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	state := map[string]string{}
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, p)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			state[rel] = "/"
+			return nil
+		}
+		data, err := os.ReadFile(p)
+		state[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
 }
 
 func TestApplyPersistenceErrorKeepsGeneration(t *testing.T) {
